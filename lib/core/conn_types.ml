@@ -49,36 +49,6 @@ let default_config =
     ack_delay_ms = 25.; trust_formula = "PV1"; core_fraction = 0.5;
     cid_pool = 0; lean = false }
 
-type path = {
-  path_id : int;
-  mutable local_addr : Net.addr;
-  mutable remote_addr : Net.addr;
-  cc : Quic.Cc.t;
-  rtt : Quic.Rtt.t;
-  mutable active : bool;
-  (* persistent congestion (RFC 9002 §7.6): the send-time span of the
-     current run of consecutive ack-eliciting losses, reset by any ack *)
-  mutable lost_span_start : Sim.time;
-  mutable lost_span_end : Sim.time;
-  mutable lost_span_valid : bool;
-}
-
-(* RFC 9000 §9 path validation: an unvalidated remote address observed on
-   authenticated packets. PATH_CHALLENGE probes carry [challenge]; only a
-   matching PATH_RESPONSE commits the address onto the path. Until then
-   the candidate may carry nothing but probes, clamped to 3× the bytes
-   received from it (§8.1 anti-amplification). *)
-type path_candidate = {
-  cand_addr : Net.addr;
-  challenge : int64;
-  rotate_to : (int64 * int64) option;
-      (* (seq, cid) of the spare we will adopt towards the peer on commit *)
-  mutable probes : int;
-  mutable last_probe_at : Sim.time;
-  mutable cand_rx : int; (* bytes received from the candidate address *)
-  mutable cand_tx : int; (* probe bytes sent to it (amplification credit) *)
-}
-
 (* What a sent packet carried, for ack/loss bookkeeping. Data-bearing
    frames record only (offset, len) against their send buffer — the
    payload bytes are never copied into retransmit state; a loss requeues
@@ -99,6 +69,50 @@ type sent_packet = {
   path_id : int;
   path_seq : int64; (* per-path send order, for reordering-safe loss detection *)
   ack_eliciting : bool;
+  (* the path's send-order index: an intrusive doubly-linked list of its
+     in-flight packets, oldest first, ended by [no_packet]. It answers
+     "oldest in flight" and "anything below the ack point" in O(paths);
+     [c.sent] stays the only authority for iteration order. *)
+  mutable prev_sent : sent_packet;
+  mutable next_sent : sent_packet;
+}
+
+let rec no_packet =
+  { pn = -1L; sent_at = 0L; size = 0; records = []; path_id = -1;
+    path_seq = -1L; ack_eliciting = false; prev_sent = no_packet;
+    next_sent = no_packet }
+
+type path = {
+  path_id : int;
+  mutable local_addr : Net.addr;
+  mutable remote_addr : Net.addr;
+  cc : Quic.Cc.t;
+  rtt : Quic.Rtt.t;
+  mutable active : bool;
+  (* persistent congestion (RFC 9002 §7.6): the send-time span of the
+     current run of consecutive ack-eliciting losses, reset by any ack *)
+  mutable lost_span_start : Sim.time;
+  mutable lost_span_end : Sim.time;
+  mutable lost_span_valid : bool;
+  (* ends of the send-order index of this path's in-flight packets *)
+  mutable oldest_sent : sent_packet;
+  mutable newest_sent : sent_packet;
+}
+
+(* RFC 9000 §9 path validation: an unvalidated remote address observed on
+   authenticated packets. PATH_CHALLENGE probes carry [challenge]; only a
+   matching PATH_RESPONSE commits the address onto the path. Until then
+   the candidate may carry nothing but probes, clamped to 3× the bytes
+   received from it (§8.1 anti-amplification). *)
+type path_candidate = {
+  cand_addr : Net.addr;
+  challenge : int64;
+  rotate_to : (int64 * int64) option;
+      (* (seq, cid) of the spare we will adopt towards the peer on commit *)
+  mutable probes : int;
+  mutable last_probe_at : Sim.time;
+  mutable cand_rx : int; (* bytes received from the candidate address *)
+  mutable cand_tx : int; (* probe bytes sent to it (amplification credit) *)
 }
 
 type stream = {

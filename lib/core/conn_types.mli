@@ -37,35 +37,6 @@ type config = {
 
 val default_config : config
 
-type path = {
-  path_id : int;
-  mutable local_addr : Netsim.Net.addr;
-  mutable remote_addr : Netsim.Net.addr;
-  cc : Quic.Cc.t;
-  rtt : Quic.Rtt.t;
-  mutable active : bool;
-  mutable lost_span_start : Netsim.Sim.time;
-  mutable lost_span_end : Netsim.Sim.time;
-  mutable lost_span_valid : bool;
-      (** persistent congestion (RFC 9002 §7.6): send-time span of the
-          current run of consecutive ack-eliciting losses *)
-}
-
-type path_candidate = {
-  cand_addr : Netsim.Net.addr;
-  challenge : int64;
-  rotate_to : (int64 * int64) option;
-      (** (seq, cid) of the spare adopted towards the peer on commit *)
-  mutable probes : int;
-  mutable last_probe_at : Netsim.Sim.time;
-  mutable cand_rx : int;
-  mutable cand_tx : int;
-}
-(** RFC 9000 §9 path validation: an unvalidated remote address observed on
-    authenticated packets. Only a PATH_RESPONSE matching [challenge]
-    commits it onto the path; until then it carries nothing but probes,
-    clamped to 3× [cand_rx] (§8.1 anti-amplification). *)
-
 (** What a sent packet carried, for ack/loss bookkeeping. Data-bearing
     frames record only (offset, len) against their send buffer — payload
     bytes are never copied into retransmit state. *)
@@ -86,7 +57,45 @@ type sent_packet = {
   path_seq : int64;
       (** per-path send order, for reordering-safe loss detection *)
   ack_eliciting : bool;
+  mutable prev_sent : sent_packet;
+  mutable next_sent : sent_packet;
+      (** links of the path's send-order index; {!no_packet} ends it *)
 }
+
+val no_packet : sent_packet
+(** The sentinel that terminates every send-order index. *)
+
+type path = {
+  path_id : int;
+  mutable local_addr : Netsim.Net.addr;
+  mutable remote_addr : Netsim.Net.addr;
+  cc : Quic.Cc.t;
+  rtt : Quic.Rtt.t;
+  mutable active : bool;
+  mutable lost_span_start : Netsim.Sim.time;
+  mutable lost_span_end : Netsim.Sim.time;
+  mutable lost_span_valid : bool;
+      (** persistent congestion (RFC 9002 §7.6): send-time span of the
+          current run of consecutive ack-eliciting losses *)
+  mutable oldest_sent : sent_packet;
+  mutable newest_sent : sent_packet;
+      (** ends of the path's send-order index of in-flight packets *)
+}
+
+type path_candidate = {
+  cand_addr : Netsim.Net.addr;
+  challenge : int64;
+  rotate_to : (int64 * int64) option;
+      (** (seq, cid) of the spare adopted towards the peer on commit *)
+  mutable probes : int;
+  mutable last_probe_at : Netsim.Sim.time;
+  mutable cand_rx : int;
+  mutable cand_tx : int;
+}
+(** RFC 9000 §9 path validation: an unvalidated remote address observed on
+    authenticated packets. Only a PATH_RESPONSE matching [challenge]
+    commits it onto the path; until then it carries nothing but probes,
+    clamped to 3× [cand_rx] (§8.1 anti-amplification). *)
 
 type stream = {
   stream_id : int;

@@ -139,6 +139,8 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       lost_span_start = 0L;
       lost_span_end = 0L;
       lost_span_valid = false;
+      oldest_sent = no_packet;
+      newest_sent = no_packet;
     }
   in
   let c =
@@ -390,7 +392,6 @@ let commit_candidate c cand =
 let process_core_frame c frame =
   match frame with
   | F.Padding _ | F.Ping -> ()
-  | F.Ack ack -> Recovery.process_ack c ack
   | F.Crypto { offset; data } ->
     Quic.Recvbuf.insert c.crypto_recv ~offset:(Int64.to_int offset) ~fin:false
       data;
@@ -448,6 +449,7 @@ let process_core_frame c frame =
     c.plugin_proofs <- (plugin, proof) :: c.plugin_proofs
   | F.Plugin_chunk { plugin; offset; fin; data } ->
     Plugin_host.handle_plugin_chunk c ~name:plugin ~offset ~fin ~data
+  | F.Ack _ -> assert false (* parsed as a [V_ack] view *)
   | F.Unknown _ -> assert false (* handled by the caller via protoops *)
 
 (* ------------------------------------------------------------------ *)
@@ -460,6 +462,8 @@ let process_core_frame c frame =
 let process_core_view c buf view =
   match view with
   | F.V_frame frame -> process_core_frame c frame
+  | F.V_ack { largest; delay_us; count; ranges } ->
+    Recovery.process_ack c ~largest ~delay_us ~count ranges
   | F.V_crypto { offset; off; len } ->
     Quic.Recvbuf.insert_sub c.crypto_recv ~offset:(Int64.to_int offset)
       ~fin:false buf ~off ~len;

@@ -192,6 +192,8 @@ let install_extra_helpers c (inst : instance) (pre : Pre.t) =
             lost_span_start = 0L;
             lost_span_end = 0L;
             lost_span_valid = false;
+            oldest_sent = no_packet;
+            newest_sent = no_packet;
           }
         in
         c.paths <- Array.append c.paths [| p |];

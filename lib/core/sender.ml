@@ -29,30 +29,13 @@ let payload_capacity c ~long =
    spurious retransmissions. *)
 let max_wire_ack_ranges = 64
 
-let ack_frame_of c =
-  match Quic.Ackranges.ranges c.acks with
-  | [] -> None
-  | all ->
-    let ranges = List.filteri (fun i _ -> i < max_wire_ack_ranges) all in
-    let largest = (List.hd ranges).Quic.Ackranges.last in
-    (* how long we sat on the largest packet before acknowledging it, so
-       the peer's RTT sample excludes our delayed-ack timer *)
-    let delay_us =
-      let default c _ =
-        Int64.div (Int64.sub (Sim.now c.sim) c.largest_recv_at) 1000L
-      in
-      run_op c Protoop.compute_ack_delay ~default [||]
-    in
-    Some
-      (F.Ack
-         {
-           largest;
-           delay_us = Int64.max 0L delay_us;
-           ranges =
-             List.map
-               (fun r -> (r.Quic.Ackranges.first, r.Quic.Ackranges.last))
-               ranges;
-         })
+(* How long we sat on the largest packet before acknowledging it, so the
+   peer's RTT sample excludes our delayed-ack timer. *)
+let ack_delay_us c =
+  let default c _ =
+    Int64.div (Int64.sub (Sim.now c.sim) c.largest_recv_at) 1000L
+  in
+  Int64.to_int (Int64.max 0L (run_op c Protoop.compute_ack_delay ~default [||]))
 
 let stream_has_pending c =
   Hashtbl.fold (fun _ s acc -> acc || Quic.Sendbuf.has_pending s.sendb) c.streams false
@@ -212,14 +195,20 @@ let build_and_send_packet c =
   in
   c.cur_has_stream <- false;
   ignore (run_op c Protoop.before_sending_packet [||]);
-  (* acknowledgments ride along whenever owed *)
+  (* acknowledgments ride along whenever owed, encoded straight from the
+     received-range set *)
   let ack_included = ref false in
-  if c.ack_needed then (
-    match ack_frame_of c with
-    | Some f when F.size f <= !room ->
-      add f;
+  if c.ack_needed && not (Quic.Ackranges.is_empty c.acks) then begin
+    let delay_us = ack_delay_us c in
+    let sz =
+      F.ack_size c.acks ~max_ranges:max_wire_ack_ranges ~delay_us
+    in
+    if sz <= !room then begin
+      F.write_ack w c.acks ~max_ranges:max_wire_ack_ranges ~delay_us;
+      account ~ae:false sz;
       ack_included := true
-    | _ -> ());
+    end
+  end;
   (* control frames *)
   let rec drain_ctrl () =
     if not (Queue.is_empty c.ctrl) then begin
@@ -422,7 +411,7 @@ let build_and_send_packet c =
         end
         else pn
       in
-      Hashtbl.replace c.sent pn
+      Recovery.track_sent c p
         {
           pn;
           sent_at = Sim.now c.sim;
@@ -431,6 +420,8 @@ let build_and_send_packet c =
           path_id = p.path_id;
           path_seq;
           ack_eliciting;
+          prev_sent = no_packet;
+          next_sent = no_packet;
         };
       let default _ _ =
         Quic.Cc.on_packet_sent p.cc ~size;

@@ -370,25 +370,25 @@ let cancel t a =
     end
   end
 
-(* One wheel per simulator, shared by every endpoint on it. Physical
-   equality keyed, small bounded registry (old sims simply fall off). *)
-let registry : (Netsim.Sim.t * t) list ref = ref []
-let registry_cap = 16
+(* One wheel per simulator, shared by every endpoint on it. The registry
+   holds simulators weakly (an ephemeron table keyed by the simulator,
+   hashed by its id): a wheel — and through its alarms every connection
+   armed on it — lives exactly as long as its simulator, and a running
+   simulator always finds the wheel it started with, however many
+   others exist. *)
+module Registry = Ephemeron.K1.Make (struct
+  type t = Netsim.Sim.t
+
+  let equal = ( == )
+  let hash = Netsim.Sim.id
+end)
+
+let registry : t Registry.t = Registry.create 16
 
 let shared sim =
-  let rec find = function
-    | [] -> None
-    | (s, w) :: _ when s == sim -> Some w
-    | _ :: rest -> find rest
-  in
-  match find !registry with
+  match Registry.find_opt registry sim with
   | Some w -> w
   | None ->
       let w = create sim in
-      let kept =
-        if List.length !registry >= registry_cap then
-          List.filteri (fun i _ -> i < registry_cap - 1) !registry
-        else !registry
-      in
-      registry := (sim, w) :: kept;
+      Registry.replace registry sim w;
       w

@@ -23,9 +23,10 @@ type alarm
 val create : Netsim.Sim.t -> t
 
 val shared : Netsim.Sim.t -> t
-(** One wheel per simulator, lazily created and memoised (small MRU
-    registry keyed by physical equality). All endpoints on a simulator
-    share it. *)
+(** One wheel per simulator, lazily created and memoised in a weak
+    registry: all endpoints on a simulator share it for the simulator's
+    whole life, and the registry keeps no wheel (nor the connections
+    armed on it) alive past its simulator. *)
 
 val alarm : (unit -> unit) -> alarm
 (** Allocate an alarm node with the given fire callback. The node is

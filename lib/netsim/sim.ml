@@ -17,15 +17,21 @@ let to_ms t = Int64.to_float t /. 1e6
 type event = { at : time; seq : int; fn : unit -> unit; mutable cancelled : bool }
 
 type t = {
+  id : int; (* unique per process: a stable hash key for weak registries *)
   mutable now : time;
   mutable heap : event array;
   mutable size : int;
   mutable next_seq : int;
 }
 
+let next_id = Atomic.make 0
+
 let create () =
-  { now = 0L; heap = Array.make 256 { at = 0L; seq = 0; fn = ignore; cancelled = true };
+  { id = Atomic.fetch_and_add next_id 1; now = 0L;
+    heap = Array.make 256 { at = 0L; seq = 0; fn = ignore; cancelled = true };
     size = 0; next_seq = 0 }
+
+let id t = t.id
 
 let now t = t.now
 

@@ -19,6 +19,11 @@ type event
 type t
 
 val create : unit -> t
+
+val id : t -> int
+(** Distinct for every simulator of the process — a stable hash key for
+    registries keyed by simulator. *)
+
 val now : t -> time
 
 val schedule : t -> delay:time -> (unit -> unit) -> event

@@ -365,7 +365,11 @@ let process_rs ~code =
                         [ Assign ("piv", v "r4") ],
                         [] );
                   ] );
-              If (v "piv" =: Const (-1L), [ ret0 ], []);
+              (* singular: the stored rows are already reduced and
+                 swapped in place (their rs_idx entries are not), so a
+                 later symbol must not re-reduce them — close the window
+                 and let the next symbols start a fresh system *)
+              If (v "piv" =: Const (-1L), [ set_fld 544 (i 0); ret0 ], []);
               If
                 ( v "piv" <>: v "rowi",
                   [

@@ -1,88 +1,113 @@
-(* Receiver-side record of received packet numbers, kept as a sorted list of
-   disjoint inclusive ranges (largest first), which is the shape ACK frames
-   need. Bounded to [max_ranges] to cap frame size, dropping the oldest
-   ranges — as real QUIC stacks do. *)
+(* Receiver-side record of received packet numbers: disjoint inclusive
+   ranges, bounded to [max_ranges] to cap frame size by dropping the
+   oldest ranges — as real QUIC stacks do.
+
+   The ranges live unboxed in one flat int array, oldest first:
+   [buf.(2k)] and [buf.(2k+1)] are the first and last packet numbers of
+   the k-th oldest range. In-order arrivals extend or append at the tail
+   in O(1), [contains] is a binary search, and nothing is allocated per
+   packet once the array has reached its working size. The accessors
+   number ranges the other way round, largest first ([first t 0] is the
+   start of the newest range), because that is the order of an ACK
+   frame. Packet numbers are native ints: the 62-bit varint domain fits
+   OCaml's int. *)
 
 type range = { first : int64; last : int64 } (* inclusive, first <= last *)
 
-type t = { mutable ranges : range list; max_ranges : int }
+type t = { mutable buf : int array; mutable n : int; max_ranges : int }
 
-let create ?(max_ranges = 256) () = { ranges = []; max_ranges }
+let create ?(max_ranges = 256) () = { buf = [||]; n = 0; max_ranges }
 
-let largest t = match t.ranges with [] -> None | r :: _ -> Some r.last
+let length t = t.n
+let is_empty t = t.n = 0
 
-(* Insert packet number [pn], merging adjacent ranges. *)
-let add t pn =
-  let rec insert = function
-    | [] -> [ { first = pn; last = pn } ]
-    | r :: rest ->
-      if pn > Int64.add r.last 1L then { first = pn; last = pn } :: r :: rest
-      else if pn = Int64.add r.last 1L then (
-        (* extend upwards; may now touch the previous (larger) range, but
-           since we process descending, upward merge is local *)
-        { r with last = pn } :: rest)
-      else if pn >= r.first then r :: rest (* duplicate *)
-      else if pn = Int64.sub r.first 1L then (
-        match rest with
-        | next :: tail when Int64.add next.last 1L = pn ->
-          { first = next.first; last = r.last } :: tail
-        | _ -> { r with first = pn } :: rest)
-      else r :: insert rest
-  in
-  let merged =
-    match insert t.ranges with
-    | r1 :: r2 :: rest when Int64.add r2.last 1L >= r1.first ->
-      { first = r2.first; last = r1.last } :: rest
-    | l -> l
-  in
-  t.ranges <-
-    (if List.length merged > t.max_ranges then
-       List.filteri (fun i _ -> i < t.max_ranges) merged
-     else merged)
+(* Range [i], largest first. *)
+let first t i = t.buf.(2 * (t.n - 1 - i))
+let last t i = t.buf.((2 * (t.n - 1 - i)) + 1)
+
+let largest t = if t.n = 0 then None else Some (Int64.of_int (last t 0))
+
+(* Index (oldest first) of the newest range whose first is <= pn, or -1. *)
+let floor_index t pn =
+  let lo = ref 0 and hi = ref (t.n - 1) and found = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.buf.(2 * mid) <= pn then begin
+      found := mid;
+      lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  !found
 
 let contains t pn =
-  List.exists (fun r -> pn >= r.first && pn <= r.last) t.ranges
+  let pn = Int64.to_int pn in
+  let k = floor_index t pn in
+  k >= 0 && pn <= t.buf.((2 * k) + 1)
 
-let ranges t = t.ranges
+(* Open a hole for one range at index [k] (oldest first). *)
+let insert_at t k ~first ~last =
+  if 2 * (t.n + 1) > Array.length t.buf then begin
+    let nb = Array.make (max 2 (2 * Array.length t.buf)) 0 in
+    Array.blit t.buf 0 nb 0 (2 * t.n);
+    t.buf <- nb
+  end;
+  Array.blit t.buf (2 * k) t.buf (2 * (k + 1)) (2 * (t.n - k));
+  t.buf.(2 * k) <- first;
+  t.buf.((2 * k) + 1) <- last;
+  t.n <- t.n + 1
 
-let is_empty t = t.ranges = []
+let remove_at t k =
+  Array.blit t.buf (2 * (k + 1)) t.buf (2 * k) (2 * (t.n - k - 1));
+  t.n <- t.n - 1
+
+(* Insert packet number [pn], merging adjacent ranges; past [max_ranges]
+   the oldest range is dropped. *)
+let add t pn =
+  let pn = Int64.to_int pn in
+  let k = floor_index t pn in
+  (* k: the range at or below pn; k + 1: the first range above it *)
+  let joins_below = k >= 0 && pn <= t.buf.((2 * k) + 1) + 1 in
+  let joins_above = k + 1 < t.n && t.buf.(2 * (k + 1)) = pn + 1 in
+  if k >= 0 && pn <= t.buf.((2 * k) + 1) then () (* duplicate *)
+  else if joins_below && joins_above then begin
+    t.buf.((2 * k) + 1) <- t.buf.((2 * (k + 1)) + 1);
+    remove_at t (k + 1)
+  end
+  else if joins_below then t.buf.((2 * k) + 1) <- pn
+  else if joins_above then t.buf.(2 * (k + 1)) <- pn
+  else begin
+    insert_at t (k + 1) ~first:pn ~last:pn;
+    if t.n > t.max_ranges then remove_at t 0
+  end
+
+(* The ranges as records, largest first — the reference shape for tests
+   and invariant reports, not used on the datapath. *)
+let ranges t =
+  List.init t.n (fun i ->
+      { first = Int64.of_int (first t i); last = Int64.of_int (last t i) })
 
 (* Total count of packet numbers covered (for tests). *)
 let cardinal t =
-  List.fold_left
-    (fun acc r -> Int64.add acc (Int64.add (Int64.sub r.last r.first) 1L))
-    0L t.ranges
+  let s = ref 0 in
+  for k = 0 to t.n - 1 do
+    s := !s + t.buf.((2 * k) + 1) - t.buf.(2 * k) + 1
+  done;
+  Int64.of_int !s
 
 (* Structural invariant check, for chaos/invariant harnesses: ranges must
    be well-formed (first <= last), strictly descending and non-adjacent
    (adjacent ranges should have been merged by [add]). Returns an error
    description instead of raising so a sweep can report the seed. *)
 let check_coherent t =
-  let rec go = function
-    | [] -> Ok ()
-    | r :: rest ->
-      if r.first > r.last then
-        Error
-          (Printf.sprintf "inverted range [%Ld, %Ld]" r.first r.last)
-      else begin
-        match rest with
-        | next :: _ when Int64.add next.last 1L >= r.first ->
-          Error
-            (Printf.sprintf
-               "ranges overlap or touch: [%Ld, %Ld] then [%Ld, %Ld]"
-               next.first next.last r.first r.last)
-        | _ -> go rest
-      end
+  let rec go i =
+    if i >= t.n then Ok ()
+    else if first t i > last t i then
+      Error (Printf.sprintf "inverted range [%d, %d]" (first t i) (last t i))
+    else if i + 1 < t.n && last t (i + 1) + 1 >= first t i then
+      Error
+        (Printf.sprintf "ranges overlap or touch: [%d, %d] then [%d, %d]"
+           (first t (i + 1)) (last t (i + 1)) (first t i) (last t i))
+    else go (i + 1)
   in
-  go t.ranges
-
-(* Iterate over every covered packet number, descending. *)
-let iter t f =
-  List.iter
-    (fun r ->
-      let pn = ref r.last in
-      while !pn >= r.first do
-        f !pn;
-        pn := Int64.sub !pn 1L
-      done)
-    t.ranges
+  go 0

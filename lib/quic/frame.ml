@@ -163,7 +163,7 @@ let wire_size frame = String.length (to_string frame)
 (* ------------------------------------------------------------------ *)
 
 let vsize v = Varint.encoded_size v
-let vsize_int v = Varint.encoded_size (Int64.of_int v)
+let vsize_int v = Varint.encoded_size_int v
 
 (* Wire size computed without serializing; equals [wire_size]. *)
 let size frame =
@@ -301,6 +301,44 @@ let write_plugin_chunk_header w ~plugin ~offset ~fin ~len =
   Writer.u8 w (if fin then 1 else 0);
   Writer.u16_be w len
 
+(* ACK frames straight from the receiver's range set: no [Ack] value,
+   no range list, no Int64 box. The first [max_ranges] ranges (largest
+   first) go on the wire; byte-identical to [write] on the [Ack] built
+   from the same ranges (differentially tested). The set must not be
+   empty. *)
+
+let ack_size acks ~max_ranges ~delay_us =
+  let n = min (Ackranges.length acks) max_ranges in
+  let largest = Ackranges.last acks 0 in
+  let sz =
+    ref
+      (1 + vsize_int largest + vsize_int delay_us + vsize_int (n - 1)
+      + vsize_int (largest - Ackranges.first acks 0))
+  in
+  for i = 1 to n - 1 do
+    let last = Ackranges.last acks i in
+    sz :=
+      !sz
+      + vsize_int (Ackranges.first acks (i - 1) - last - 2)
+      + vsize_int (last - Ackranges.first acks i)
+  done;
+  !sz
+
+let write_ack w acks ~max_ranges ~delay_us =
+  let n = min (Ackranges.length acks) max_ranges in
+  let largest = Ackranges.last acks 0 in
+  Writer.varint_int w type_ack;
+  Writer.varint_int w largest;
+  Writer.varint_int w delay_us;
+  Writer.varint_int w (n - 1);
+  Writer.varint_int w (largest - Ackranges.first acks 0);
+  for i = 1 to n - 1 do
+    let last = Ackranges.last acks i in
+    (* gap = prev_first - last - 2, per the draft's encoding *)
+    Writer.varint_int w (Ackranges.first acks (i - 1) - last - 2);
+    Writer.varint_int w (last - Ackranges.first acks i)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* View-based parsing: the zero-copy receive path. A [view] names the   *)
 (* payload bytes of a data-bearing frame by offset + length into the    *)
@@ -315,6 +353,11 @@ let write_plugin_chunk_header w ~plugin ~offset ~fin ~len =
 type view =
   | V_frame of t
       (* a payload-free frame, parsed eagerly into its [t] shape *)
+  | V_ack of { largest : int; delay_us : int; count : int; ranges : int array }
+      (* [count] ranges, largest first: [ranges.(2i)] and [ranges.(2i+1)]
+         are the first and last packet numbers of range i. The array is
+         the reader's scratch: valid until that reader parses its next
+         ACK or is released *)
   | V_crypto of { offset : int64; off : int; len : int }
   | V_stream of { id : int; offset : int64; fin : bool; off : int; len : int }
   | V_unknown of { ftype : int; off : int; len : int }
@@ -323,12 +366,14 @@ type view =
 
 let view_type = function
   | V_frame f -> frame_type f
+  | V_ack _ -> type_ack
   | V_crypto _ -> type_crypto
   | V_stream { fin; _ } -> if fin then type_stream else type_stream_nofin
   | V_unknown { ftype; _ } -> ftype
 
 let view_is_ack_eliciting = function
   | V_frame f -> is_ack_eliciting f
+  | V_ack _ -> false
   | V_crypto _ | V_stream _ | V_unknown _ -> true
 
 let read_string_16_r r =
@@ -349,23 +394,30 @@ let parse_view r =
   else if ftype = type_ping then V_frame Ping
   else if ftype = type_handshake_done then V_frame Handshake_done
   else if ftype = type_ack then begin
-    let largest = Reader.varint r in
-    let delay_us = Reader.varint r in
+    (* ranges decode as native ints into the reader's scratch array; a
+       range reaching below packet number 0 is malformed (RFC 9000
+       §19.3.1), which also keeps every value inside the int domain *)
+    let largest = Reader.varint_int r in
+    let delay_us = Reader.varint_int r in
     let count = Reader.varint_int r in
-    let first_len = Reader.varint r in
-    let first_range = (Int64.sub largest first_len, largest) in
-    let rec ranges k prev_first acc =
-      if k = 0 then List.rev acc
-      else begin
-        let gap = Reader.varint r in
-        let len = Reader.varint r in
-        let last = Int64.sub (Int64.sub prev_first gap) 2L in
-        let first = Int64.sub last len in
-        ranges (k - 1) first ((first, last) :: acc)
-      end
-    in
-    let rest = ranges count (fst first_range) [] in
-    V_frame (Ack { largest; delay_us; ranges = first_range :: rest })
+    let first_len = Reader.varint_int r in
+    if first_len > largest then raise Varint.Truncated;
+    let ranges = ref (Reader.int_scratch r 2) in
+    !ranges.(0) <- largest - first_len;
+    !ranges.(1) <- largest;
+    for k = 1 to count do
+      let gap = Reader.varint_int r in
+      let len = Reader.varint_int r in
+      let prev_first = !ranges.((2 * k) - 2) in
+      if gap > prev_first - 2 then raise Varint.Truncated;
+      let last = prev_first - gap - 2 in
+      if len > last then raise Varint.Truncated;
+      if 2 * k + 2 > Array.length !ranges then
+        ranges := Reader.int_scratch r (2 * k + 2);
+      !ranges.(2 * k) <- last - len;
+      !ranges.((2 * k) + 1) <- last
+    done;
+    V_ack { largest; delay_us; count = count + 1; ranges = !ranges }
   end
   else if ftype = type_crypto then begin
     let offset = Reader.varint r in
@@ -447,6 +499,15 @@ let read_string_16 s pos =
    datagram the view indexes. *)
 let of_view s = function
   | V_frame f -> f
+  | V_ack { largest; delay_us; count; ranges } ->
+    Ack
+      {
+        largest = Int64.of_int largest;
+        delay_us = Int64.of_int delay_us;
+        ranges =
+          List.init count (fun i ->
+              (Int64.of_int ranges.(2 * i), Int64.of_int ranges.((2 * i) + 1)));
+      }
   | V_crypto { offset; off; len } ->
     Crypto { offset; data = String.sub s off len }
   | V_stream { id; offset; fin; off; len } ->
@@ -472,6 +533,8 @@ let parse s pos =
     let delay_us, pos = Varint.read s pos in
     let count, pos = Varint.read_int s pos in
     let first_len, pos = Varint.read s pos in
+    (* no range may reach below packet number 0 (RFC 9000 §19.3.1) *)
+    if first_len > largest then raise Varint.Truncated;
     let first_range = (Int64.sub largest first_len, largest) in
     let rec ranges k prev_first pos acc =
       if k = 0 then (List.rev acc, pos)
@@ -479,6 +542,7 @@ let parse s pos =
         let gap, pos = Varint.read s pos in
         let len, pos = Varint.read s pos in
         let last = Int64.sub (Int64.sub prev_first gap) 2L in
+        if last < 0L || len > last then raise Varint.Truncated;
         let first = Int64.sub last len in
         ranges (k - 1) first pos ((first, last) :: acc)
     in

@@ -108,6 +108,15 @@ val plugin_chunk_header_size : plugin:string -> offset:int64 -> int
 val write_plugin_chunk_header :
   Writer.t -> plugin:string -> offset:int64 -> fin:bool -> len:int -> unit
 
+val ack_size : Ackranges.t -> max_ranges:int -> delay_us:int -> int
+
+val write_ack : Writer.t -> Ackranges.t -> max_ranges:int -> delay_us:int -> unit
+(** The production ACK encoder: an ACK frame written straight from a
+    non-empty range set, carrying its first [max_ranges] ranges (largest
+    first), allocation-free. Byte-identical to {!write} on the {!Ack}
+    holding the same ranges; [ack_size] equals its length.
+    @raise Varint.Overflow on a negative [delay_us]. *)
+
 (** {2 Zero-copy view parsing}
 
     The receive-side mirror of the pooled fast path: data-bearing frames
@@ -120,6 +129,11 @@ val write_plugin_chunk_header :
 
 type view =
   | V_frame of t  (** a payload-free frame, parsed eagerly *)
+  | V_ack of { largest : int; delay_us : int; count : int; ranges : int array }
+      (** an ACK frame with native-int fields: [count] ranges, largest
+          first, range [i] being [ranges.(2i) .. ranges.(2i+1)]. [ranges]
+          is the reader's scratch ({!Reader.int_scratch}): valid until
+          that reader parses its next ACK or is released. *)
   | V_crypto of { offset : int64; off : int; len : int }
   | V_stream of { id : int; offset : int64; fin : bool; off : int; len : int }
   | V_unknown of { ftype : int; off : int; len : int }
@@ -143,6 +157,7 @@ val parse : string -> int -> t * int
 (** Parse one frame; returns it and the next position. For unknown types
     the remainder of the payload is captured raw and the position is the
     buffer end — the engine re-adjusts from the plugin's parse result.
-    @raise Varint.Truncated on malformed input. *)
+    @raise Varint.Truncated on malformed input, including an ACK range
+    reaching below packet number 0 (RFC 9000 §19.3.1). *)
 
 val pp : t Fmt.t

@@ -21,9 +21,27 @@
    crypto payload, a plugin frame body kept across packets — must be
    copied out (e.g. by [Recvbuf.insert_sub]) before the next datagram. *)
 
-type t = { mutable buf : string; mutable pos : int; mutable limit : int }
+type t = {
+  mutable buf : string;
+  mutable pos : int;
+  mutable limit : int;
+  mutable ints : int array;
+      (* decode scratch owned by this reader (ACK ranges): a recovered
+         packet replayed from inside a frame handler parses through a
+         reader of its own, so the scratch is never shared *)
+}
 
-let create () = { buf = ""; pos = 0; limit = 0 }
+let create () = { buf = ""; pos = 0; limit = 0; ints = [||] }
+
+(* The reader's int scratch, grown (doubling, contents kept) to hold at
+   least [n] ints. *)
+let int_scratch t n =
+  if Array.length t.ints < n then begin
+    let a = Array.make (max n (2 * Array.length t.ints)) 0 in
+    Array.blit t.ints 0 a 0 (Array.length t.ints);
+    t.ints <- a
+  end;
+  t.ints
 
 let reset t s ~pos ~limit =
   if pos < 0 || limit < pos || limit > String.length s then

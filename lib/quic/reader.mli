@@ -55,6 +55,12 @@ val varint_int : t -> int
     no Int64 box.
     @raise Varint.Truncated if the encoding runs past [limit]. *)
 
+val int_scratch : t -> int -> int array
+(** The reader's own int scratch, grown to at least [n] ints (contents
+    kept): ACK ranges decode into it. Valid until the next call that
+    grows it; nested packet replays parse through other readers, so it
+    is never shared. *)
+
 (** {1 Pooling}
 
     Free-list recycling, mirroring {!Writer.acquire}/{!Writer.release}:

@@ -14,6 +14,15 @@ let encoded_size v =
   else if v <= 1073741823L then 4
   else 8
 
+(* [encoded_size] in native-int arithmetic, with no Int64 box: every
+   non-negative OCaml int is inside the 62-bit varint domain. *)
+let encoded_size_int v =
+  if v < 0 then raise Overflow
+  else if v <= 63 then 1
+  else if v <= 16383 then 2
+  else if v <= 1073741823 then 4
+  else 8
+
 let write buf v =
   match encoded_size v with
   | 1 -> Buffer.add_uint8 buf (Int64.to_int v)

@@ -7,6 +7,10 @@ exception Truncated
 
 val max_value : int64
 val encoded_size : int64 -> int
+
+val encoded_size_int : int -> int
+(** [encoded_size] of a native int, allocation-free. *)
+
 val write : Buffer.t -> int64 -> unit
 val write_int : Buffer.t -> int -> unit
 

@@ -90,7 +90,23 @@ let varint t v =
   | 4 -> i32_be t (Int32.logor (Int64.to_int32 v) 0x8000_0000l)
   | _ -> i64_be t (Int64.logor v 0xC000_0000_0000_0000L)
 
-let varint_int t v = varint t (Int64.of_int v)
+(* The native-int varint: the same wire form as [varint], built from
+   unboxed ints so the hot encoders allocate nothing. The 8-byte form
+   sets the 0b11 length prefix on the high 32-bit half, since the
+   prefixed value does not fit a 63-bit int. *)
+let varint_int t v =
+  match Varint.encoded_size_int v with
+  | 1 -> u8 t v
+  | 2 -> u16_be t (v lor 0x4000)
+  | 4 ->
+    ensure t 4;
+    Bytes.set_int32_be t.buf t.pos (Int32.of_int (v lor 0x8000_0000));
+    t.pos <- t.pos + 4
+  | _ ->
+    ensure t 8;
+    Bytes.set_int32_be t.buf t.pos (Int32.of_int ((v lsr 32) lor 0xC000_0000));
+    Bytes.set_int32_be t.buf (t.pos + 4) (Int32.of_int (v land 0xFFFF_FFFF));
+    t.pos <- t.pos + 8
 
 let string t s =
   let n = String.length s in

@@ -41,6 +41,9 @@ val varint : t -> int64 -> unit
 (** Identical wire form to {!Varint.write}. *)
 
 val varint_int : t -> int -> unit
+(** Identical wire form to [varint (Int64.of_int v)], without allocating.
+    @raise Varint.Overflow on a negative value. *)
+
 val string : t -> string -> unit
 val subbytes : t -> Bytes.t -> off:int -> len:int -> unit
 val fill : t -> int -> char -> unit

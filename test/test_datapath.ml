@@ -163,6 +163,74 @@ let view_corruption_matches =
       R.release r;
       step_eq (reference_step s 0, viewed))
 
+(* ACK frames from raw field values, well-formed or not: any count,
+   gaps and lengths of every varint size, ranges that reach below packet
+   number 0, too few range pairs for the count. [V_ack] must agree with
+   the reference on value, cursor advance and raising, whole and cut. *)
+let gen_raw_ack =
+  let open QCheck2.Gen in
+  let field =
+    oneof
+      [ int_range 0 70; int_range 0 20_000; int_range 0 0x3FFF_FFFF;
+        int_range 0 max_int ]
+  in
+  map3
+    (fun (largest, delay, count) pairs cut ->
+      let buf = Buffer.create 64 in
+      List.iter (Quic.Varint.write_int buf)
+        ([ F.type_ack; largest; delay; count ]
+        @ List.concat_map (fun (g, l) -> [ g; l ]) pairs);
+      let s = Buffer.contents buf in
+      (s, cut mod (String.length s + 1)))
+    (triple (oneof [ int_range 0 5_000; field ]) field (int_range 0 80))
+    (pair (oneof [ int_range 0 10; field ]) (int_range 0 6)
+     |> list_size (int_range 1 81))
+    nat
+
+let ack_view_matches_parse =
+  qtest ~count:1000 "V_ack = parse on raw ACK encodings" gen_raw_ack
+    (fun (s, cut) ->
+      let at limit =
+        let r = R.acquire () in
+        R.reset r s ~pos:0 ~limit;
+        let viewed = view_step s r in
+        R.release r;
+        step_eq (reference_step (String.sub s 0 limit) 0, viewed)
+      in
+      at (String.length s) && at cut)
+
+(* The edges of the range arithmetic: a range reaching below packet
+   number 0 is malformed, including where the native-int subtraction
+   would wrap; a range ending exactly at 0 is fine. *)
+let test_ack_range_edges () =
+  let wire fields =
+    let buf = Buffer.create 32 in
+    List.iter (Quic.Varint.write_int buf) (F.type_ack :: fields);
+    Buffer.contents buf
+  in
+  let outcome s =
+    let r = R.acquire () in
+    R.reset r s ~pos:0 ~limit:(String.length s);
+    let viewed = view_step s r in
+    R.release r;
+    let reference = reference_step s 0 in
+    if not (step_eq (reference, viewed)) then Alcotest.fail "parsers disagree";
+    match viewed with Ok _ -> "ok" | Error e -> e
+  in
+  let cases =
+    [
+      ("first range below 0", [ 5; 0; 0; 6 ], "truncated");
+      ("gap wraps below 0", [ 0; 0; 1; 0; max_int; 0 ], "truncated");
+      ("gap one below 0", [ 4; 0; 1; 3; 0; 0 ], "truncated");
+      ("len reaches below 0", [ max_int; 0; 1; 0; 0; max_int ], "truncated");
+      ("range ending at 0", [ 2; 0; 1; 0; 0; 0 ], "ok");
+    ]
+  in
+  List.iter
+    (fun (name, fields, expected) ->
+      check Alcotest.string name expected (outcome (wire fields)))
+    cases
+
 (* ---------------------- encoder differentials ------------------------ *)
 
 let size_matches_wire_size =
@@ -269,6 +337,66 @@ let tag_sub_consistent =
       P.tag_sub ~key s ~off ~len = P.tag ~key slice
       && P.tag_bytes ~key (Bytes.of_string s) ~off ~len = P.tag ~key slice)
 
+let varint_int_matches =
+  qtest "Writer.varint_int = varint"
+    QCheck2.Gen.(
+      oneof
+        [ int_range 0 100; int_range 0 20_000; int_range 0 0x7FFF_FFFF;
+          int_range 0 max_int ])
+    (fun v ->
+      let a = W.create () and b = W.create () in
+      W.varint_int a v;
+      W.varint b (Int64.of_int v);
+      W.contents a = W.contents b
+      && Quic.Varint.encoded_size_int v = W.length a)
+
+(* A received-range set from arrival runs separated by holes; up to ~100
+   ranges, so the 64-range wire cap is crossed. *)
+let gen_ackranges =
+  let open QCheck2.Gen in
+  map
+    (fun runs ->
+      let t = Quic.Ackranges.create () in
+      let pn = ref 0 in
+      List.iter
+        (fun (hole, run) ->
+          pn := !pn + hole;
+          for _ = 0 to run do
+            Quic.Ackranges.add t (Int64.of_int !pn);
+            incr pn
+          done)
+        runs;
+      t)
+    (list_size (int_range 1 100)
+       (pair (oneof [ int_range 1 3; int_range 1 20_000 ]) (int_range 0 50)))
+
+(* The production ACK encoder against the reference shape: the [Ack]
+   value holding the first [max_ranges] ranges, through [Frame.write]. *)
+let ack_encoder_matches =
+  qtest ~count:500 "Frame.write_ack = write (Ack ...)"
+    QCheck2.Gen.(
+      triple gen_ackranges
+        (oneof [ return 64; int_range 1 100 ])
+        (oneof [ int_range 0 100; int_range 0 max_int ]))
+    (fun (acks, max_ranges, delay_us) ->
+      let ranges =
+        List.filteri (fun i _ -> i < max_ranges) (Quic.Ackranges.ranges acks)
+        |> List.map (fun r -> (r.Quic.Ackranges.first, r.Quic.Ackranges.last))
+      in
+      let reference =
+        F.Ack
+          {
+            largest = snd (List.hd ranges);
+            delay_us = Int64.of_int delay_us;
+            ranges;
+          }
+      in
+      let w = W.create () and wr = W.create () in
+      F.write_ack w acks ~max_ranges ~delay_us;
+      F.write wr reference;
+      W.contents w = W.contents wr
+      && F.ack_size acks ~max_ranges ~delay_us = W.length w)
+
 (* --------------------------- pool balance ---------------------------- *)
 
 let test_writer_pool () =
@@ -320,6 +448,180 @@ let test_memory_pool_balance () =
     offs;
   check Alcotest.int "returns balance to zero" 0
     (Pquic.Memory_pool.allocated_bytes pool)
+
+(* -------------------- loss index vs the c.sent scan -------------------- *)
+
+module C = Pquic.Connection
+module Rec = Pquic.Recovery
+module Sim = Netsim.Sim
+
+(* One step of a recovery script: send on a path after advancing the
+   clock (0 ms gives same-instant sends, ties across paths included), an
+   ACK of ranges below a chosen largest, an explicit loss-detection pass,
+   or a loss-alarm expiry (probe, then full RTO on backoff). *)
+type step =
+  | Send of int * int
+  | Ack of int * (int * int) list
+  | Detect
+  | Pto
+
+let gen_script =
+  let open QCheck2.Gen in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         ( 5,
+           map2
+             (fun path dt -> Send (path, dt))
+             (int_range 0 2)
+             (oneofl [ 0; 0; 0; 1; 5; 60 ]) );
+         ( 3,
+           map2
+             (fun top spec -> Ack (top, spec))
+             (int_range 30 100)
+             (list_size (int_range 1 6) (pair (int_range 0 3) (int_range 0 5)))
+         );
+         (1, return Detect);
+         (1, return Pto);
+       ])
+
+(* The reference loss rule: the full scan over [c.sent], losses in the
+   order the default detector declares them. *)
+let scan_losses (c : C.t) =
+  let now = Sim.now c.C.sim in
+  let lost = ref [] in
+  Hashtbl.iter
+    (fun _ (sp : C.sent_packet) ->
+      let path_largest =
+        if sp.C.path_id < Array.length c.C.largest_acked_per_path then
+          c.C.largest_acked_per_path.(sp.C.path_id)
+        else -1L
+      in
+      if sp.C.path_seq < path_largest then begin
+        let p = c.C.paths.(min sp.C.path_id (Array.length c.C.paths - 1)) in
+        let window =
+          Int64.add (Quic.Rtt.smoothed p.C.rtt)
+            (Int64.mul 4L (Quic.Rtt.variance p.C.rtt))
+        in
+        let threshold = Int64.sub now (Int64.div (Int64.mul window 9L) 8L) in
+        if
+          Int64.sub path_largest sp.C.path_seq >= 3L
+          || sp.C.sent_at <= threshold
+        then lost := sp.C.pn :: !lost
+      end)
+    c.C.sent;
+  !lost
+
+(* Each path's index must list exactly its packets of [c.sent], in send
+   order, with consistent back links. *)
+let index_consistent (c : C.t) =
+  Array.for_all
+    (fun (p : C.path) ->
+      let rec walk prev sp acc =
+        if sp == C.no_packet then (prev == p.C.newest_sent, List.rev acc)
+        else if sp.C.prev_sent != prev then (false, [])
+        else walk sp sp.C.next_sent (sp.C.pn :: acc)
+      in
+      let linked, pns = walk C.no_packet p.C.oldest_sent [] in
+      let expected =
+        Hashtbl.fold
+          (fun pn (sp : C.sent_packet) acc ->
+            if sp.C.path_id = p.C.path_id then pn :: acc else acc)
+          c.C.sent []
+        |> List.sort compare
+      in
+      linked && pns = expected)
+    c.C.paths
+
+let run_script script =
+  let topo =
+    Netsim.Topology.single_path ~seed:7L
+      { Netsim.Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  let sim = topo.Netsim.Topology.sim in
+  let c =
+    C.create ~sim ~net:topo.Netsim.Topology.net ~cfg:C.default_config
+      ~role:C.Client
+      ~local_addr:(List.hd topo.Netsim.Topology.client_addrs)
+      ~remote_addr:topo.Netsim.Topology.server_addr ~local_cid:1L
+      ~remote_cid:2L ~local_params:Quic.Transport_params.default ()
+  in
+  let p0 = c.C.paths.(0) in
+  c.C.paths <-
+    Array.init 3 (fun i ->
+        if i = 0 then p0
+        else
+          {
+            p0 with
+            C.path_id = i;
+            cc = Quic.Cc.create ();
+            rtt = Quic.Rtt.create ();
+            oldest_sent = C.no_packet;
+            newest_sent = C.no_packet;
+          });
+  (* oracle hooks: the scan's verdict just before the default detector
+     runs, the declarations it makes, compared once it returns *)
+  let expected = ref [] and declared = ref [] and ok = ref true in
+  let detect = Pquic.Dispatch.entry c Pquic.Protoop.detect_lost_packets None in
+  detect.C.pre <-
+    [ C.Native ("scan", fun c _ -> expected := scan_losses c; declared := []; 0L) ];
+  detect.C.post <-
+    [ C.Native ("check", fun _ _ -> if List.rev !declared <> !expected then ok := false; 0L) ];
+  (Pquic.Dispatch.entry c Pquic.Protoop.packet_lost None).C.pre <-
+    [ C.Native ("record", fun _ args ->
+          (match args.(0) with C.I pn -> declared := pn :: !declared | _ -> ());
+          0L) ];
+  let oldest_agrees () =
+    let got = Rec.oldest_send c in
+    match Rec.oldest_in_flight c with
+    | None -> got == C.no_packet
+    | Some sp -> got.C.sent_at = sp.C.sent_at && got.C.path_id = sp.C.path_id
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | Send (path, dt) ->
+        ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_ms (float dt))) sim);
+        let p = c.C.paths.(path) in
+        let pn = c.C.next_pn in
+        c.C.next_pn <- Int64.succ pn;
+        let path_seq = c.C.next_path_seq.(path) in
+        c.C.next_path_seq.(path) <- Int64.succ path_seq;
+        Quic.Cc.on_packet_sent p.C.cc ~size:1200;
+        Rec.track_sent c p
+          { C.pn; sent_at = Sim.now sim; size = 1200; records = [];
+            path_id = path; path_seq; ack_eliciting = true;
+            prev_sent = C.no_packet; next_sent = C.no_packet };
+        Rec.set_loss_alarm c
+      | Ack (top, spec) ->
+        let sent = Int64.to_int c.C.next_pn in
+        if sent > 0 then begin
+          let largest = (sent - 1) * top / 100 in
+          let ranges = ref [] and prev_first = ref (largest + 2) in
+          List.iter
+            (fun (gap, len) ->
+              let last = !prev_first - gap - 2 in
+              if last >= 0 then begin
+                let first = max 0 (last - len) in
+                ranges := (first, last) :: !ranges;
+                prev_first := first
+              end
+              else prev_first := -10)
+            ((0, snd (List.hd spec)) :: List.tl spec);
+          let ranges = List.rev !ranges in
+          let flat =
+            Array.of_list (List.concat_map (fun (f, l) -> [ f; l ]) ranges)
+          in
+          Rec.process_ack c ~largest ~delay_us:0 ~count:(List.length ranges) flat
+        end
+      | Detect -> Rec.detect_losses c
+      | Pto -> Rec.on_loss_alarm c);
+      if not (oldest_agrees () && index_consistent c) then ok := false)
+    script;
+  !ok
+
+let loss_index_matches_scan =
+  qtest ~count:300 "loss index = c.sent scan" gen_script run_script
 
 (* ----------------------- whole-transfer fences ----------------------- *)
 
@@ -387,11 +689,47 @@ let test_rx_minor_words_per_packet () =
       Alcotest.failf "rx minor words per packet %.0f over the 2500 ceiling"
         per_pkt
 
+(* Allocation gate for the O(1) ACK and loss-detection datapath, on a
+   transfer long enough for the 64-range ACK regime: 5 MB over the
+   100 Mbps Figure 7 path, whose drop-tail queue overflows and leaves
+   permanent holes, so every ACK carries the capped 64 ranges. Native-int
+   ranges end to end (flat range set, direct ACK encoder, V_ack view) and
+   the send-order index bring this to 1116 minor words per packet, from
+   2621 with range lists and full in-flight scans. The count is
+   deterministic; the ceiling is that figure plus 15%. *)
+let test_minor_words_ack_regime () =
+  let transfer () =
+    let params = { Netsim.Topology.d_ms = 5.; bw_mbps = 100.; loss = 0. } in
+    let topo = Netsim.Topology.single_path ~seed:7L params in
+    Exp.Runner.quic_transfer ~topo ~plugins:[] ~to_inject:[] ~size:5_000_000 ()
+  in
+  ignore (transfer ());
+  (* warm-up: connection tables, writer/reader pools *)
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  match transfer () with
+  | None -> Alcotest.fail "transfer did not complete"
+  | Some r ->
+    let words = Gc.minor_words () -. w0 in
+    let per_pkt = words /. float_of_int (max 1 (packets_of r)) in
+    Alcotest.(check bool)
+      "ACKs reached the 64-range cap" true
+      (Quic.Ackranges.length r.Exp.Runner.client_conn.C.acks
+       > Pquic.Sender.max_wire_ack_ranges);
+    if per_pkt >= 1283. then
+      Alcotest.failf "minor words per packet %.0f over the 1283 ceiling"
+        per_pkt
+
 let tests =
   [
     ( "reader",
-      [ view_matches_parse; view_truncation_matches; view_corruption_matches ]
-    );
+      [
+        view_matches_parse;
+        view_truncation_matches;
+        view_corruption_matches;
+        ack_view_matches_parse;
+        Alcotest.test_case "ACK range edges" `Quick test_ack_range_edges;
+      ] );
     ( "encoders",
       [
         size_matches_wire_size;
@@ -402,7 +740,10 @@ let tests =
         seal_matches_protect;
         tag_matches_reference;
         tag_sub_consistent;
+        varint_int_matches;
+        ack_encoder_matches;
       ] );
+    ("recovery", [ loss_index_matches_scan ]);
     ( "pool",
       [
         Alcotest.test_case "writer free list balances" `Quick test_writer_pool;
@@ -418,5 +759,7 @@ let tests =
           test_minor_words_per_packet;
         Alcotest.test_case "rx minor words per packet ceiling" `Slow
           test_rx_minor_words_per_packet;
+        Alcotest.test_case "64-range ACK regime minor words ceiling" `Slow
+          test_minor_words_ack_regime;
       ] );
   ]

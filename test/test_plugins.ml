@@ -324,6 +324,66 @@ let test_fec_data_integrity () =
   check Alcotest.bool "recovery actually happened" true
     ((Pquic.Connection.stats conn).Pquic.Connection.frames_recovered > 0)
 
+(* A recorded input on which RLC decoding once went wrong: a singular
+   system left its repair rows reduced and swapped in place, the next
+   repair symbol of the same window solved a wrong system, and the client
+   replayed a packet the server never sent ("unknown frame type"). The
+   transfer mirrors the benchmark's lossy FEC GET: the Figure 7 path at
+   100 Mbps with 2% loss, endpoint seeds derived from the input seed by
+   a splitmix finaliser. *)
+let test_fec_rlc_singular_window () =
+  let mix (x : int64) =
+    let open Int64 in
+    let z = add x 0x9E3779B97F4A7C15L in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+  in
+  let seed = 7071998533859302274L and size = 5_203_556 in
+  let p = { Topology.d_ms = 5.; bw_mbps = 100.; loss = 0.02 } in
+  let topo = Topology.single_path ~seed p in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let server_addr = topo.Topology.server_addr in
+  let server = Pquic.Endpoint.create ~sim ~net ~addr:server_addr ~seed:(mix seed) () in
+  let client =
+    Pquic.Endpoint.create ~sim ~net ~addr:(List.hd topo.Topology.client_addrs)
+      ~seed:(mix (mix seed)) ()
+  in
+  let plugin = Plugins.Fec.rlc_full in
+  let name = (plugin : Pquic.Plugin.t).Pquic.Plugin.name in
+  Pquic.Endpoint.add_plugin server plugin;
+  Pquic.Endpoint.add_plugin client plugin;
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  ignore (Pquic.Endpoint.acquire_instance server name);
+  let payload = String.make size 'x' in
+  server.Pquic.Endpoint.on_connection <-
+    (fun c ->
+      c.Pquic.Connection.on_stream_data <-
+        (fun id _ ~fin ->
+          if fin then Pquic.Connection.write_stream c ~id ~fin:true payload));
+  let conn =
+    Pquic.Endpoint.connect client ~remote_addr:server_addr ~plugins_to_inject:[ name ]
+  in
+  let received = Buffer.create size and fins = ref 0 in
+  conn.Pquic.Connection.on_established <-
+    (fun () -> Pquic.Connection.write_stream conn ~id:0 ~fin:true "GET /file");
+  conn.Pquic.Connection.on_stream_data <-
+    (fun _ data ~fin ->
+      Buffer.add_string received data;
+      if fin then incr fins);
+  while !fins = 0 && Sim.now sim < Sim.of_sec 300. && Sim.pending sim > 0 do
+    ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_ms 10.)) sim)
+  done;
+  (match Pquic.Connection.state conn with
+   | Pquic.Connection.Failed m -> Alcotest.failf "connection failed: %s" m
+   | _ -> ());
+  check Alcotest.int "one FIN" 1 !fins;
+  check Alcotest.int "every byte" size (Buffer.length received);
+  check Alcotest.bool "exact bytes" true (Buffer.contents received = payload);
+  check Alcotest.bool "repairs happened" true
+    ((Pquic.Connection.stats conn).Pquic.Connection.frames_recovered > 0)
+
 let test_fec_termination_verdicts () =
   (* the RLC receiver pluglet contains a Gauss-Jordan while loop: its
      termination must NOT be provable, as for the paper's hard pluglets *)
@@ -406,6 +466,7 @@ let tests =
       Alcotest.test_case "xor <= rlc" `Quick test_fec_xor_recovers_fewer;
       Alcotest.test_case "clean link" `Quick test_fec_no_loss_no_recovery;
       Alcotest.test_case "data integrity" `Quick test_fec_data_integrity;
+      Alcotest.test_case "rlc singular window" `Quick test_fec_rlc_singular_window;
       Alcotest.test_case "termination verdicts" `Quick test_fec_termination_verdicts;
     ]);
     ("combination", [

@@ -174,6 +174,68 @@ let test_ackranges_bounded () =
   done;
   check Alcotest.bool "bounded" true (List.length (Quic.Ackranges.ranges t) <= 3)
 
+(* The list model the flat range set replaced: disjoint inclusive ranges
+   largest first, an insert that merges neighbours, and truncation to the
+   [max_ranges] largest ranges. *)
+module Range_model = struct
+  let add ~max_ranges ranges pn =
+    let rec insert = function
+      | [] -> [ (pn, pn) ]
+      | ((first, last) as r) :: rest ->
+        if pn > last + 1 then (pn, pn) :: r :: rest
+        else if pn = last + 1 then (first, pn) :: rest
+        else if pn >= first then r :: rest
+        else if pn = first - 1 then (
+          match rest with
+          | (nfirst, nlast) :: tail when nlast + 1 = pn -> (nfirst, last) :: tail
+          | _ -> (pn, last) :: rest)
+        else r :: insert rest
+    in
+    List.filteri (fun i _ -> i < max_ranges) (insert ranges)
+end
+
+(* Random arrival orders (in-order runs, holes, duplicates, stragglers)
+   against the model after every insertion: same ranges, same
+   membership, same largest. Small [max_ranges] exercise truncation. *)
+let ackranges_match_list_model =
+  qtest ~count:500 "flat ackranges = list model"
+    QCheck2.Gen.(
+      pair (int_range 1 12)
+        (list_size (int_range 1 120)
+           (oneof [ int_range 0 40; int_range 0 400 ])))
+    (fun (max_ranges, pns) ->
+      let t = Quic.Ackranges.create ~max_ranges () in
+      let model = ref [] in
+      List.for_all
+        (fun pn ->
+          Quic.Ackranges.add t (Int64.of_int pn);
+          model := Range_model.add ~max_ranges !model pn;
+          let got =
+            List.map
+              (fun r ->
+                (Int64.to_int r.Quic.Ackranges.first,
+                 Int64.to_int r.Quic.Ackranges.last))
+              (Quic.Ackranges.ranges t)
+          in
+          let n = Quic.Ackranges.length t in
+          got = !model
+          && List.length got = n
+          && List.for_all2
+               (fun i (first, last) ->
+                 Quic.Ackranges.first t i = first
+                 && Quic.Ackranges.last t i = last)
+               (List.init n Fun.id) got
+          && Quic.Ackranges.largest t
+             = (match !model with
+               | [] -> None
+               | (_, last) :: _ -> Some (Int64.of_int last))
+          && List.for_all
+               (fun q ->
+                 Quic.Ackranges.contains t (Int64.of_int q)
+                 = List.exists (fun (f, l) -> q >= f && q <= l) !model)
+               [ pn - 2; pn - 1; pn; pn + 1; pn + 2; 0; 200; 401 ])
+        pns)
+
 (* --------------------------- stream buffers --------------------------- *)
 
 (* deliver exactly the written bytes whatever the segmentation and
@@ -443,6 +505,7 @@ let tests =
       Alcotest.test_case "check_coherent" `Quick test_check_coherent_rejects_malformed;
       ackranges_invariants;
       ackranges_dup_reorder_coherent;
+      ackranges_match_list_model;
     ]);
     ("streambuf", [
       Alcotest.test_case "retransmit priority" `Quick test_sendbuf_retransmit_priority;

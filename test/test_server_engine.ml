@@ -224,6 +224,35 @@ let test_shared_wheel_per_sim () =
   check Alcotest.bool "different sim, different wheel" false
     (TW.shared s1 == TW.shared s2)
 
+(* A simulator keeps its wheel however many others are created after it:
+   a second wheel would split one node's alarms across two drivers. *)
+let test_shared_wheel_stable () =
+  let s1 = Sim.create () in
+  let w1 = TW.shared s1 in
+  let others = List.init 64 (fun _ -> Sim.create ()) in
+  List.iter (fun s -> ignore (TW.shared s)) others;
+  check Alcotest.bool "still the first wheel" true (TW.shared s1 == w1)
+
+(* The registry does not keep finished simulators alive: once a
+   simulator is unreachable, its wheel (and, through armed alarms, the
+   state they close over) is collected. *)
+let[@inline never] register_and_drop wheels payloads =
+  let sim = Sim.create () in
+  let w = TW.shared sim in
+  let payload = Bytes.create 4096 in
+  let a = TW.alarm (fun () -> ignore (Bytes.length payload)) in
+  TW.arm w a ~at:(Int64.of_int 1_000_000_000);
+  Weak.set wheels 0 (Some w);
+  Weak.set payloads 0 (Some payload)
+
+let test_shared_wheel_weak () =
+  let wheels = Weak.create 1 and payloads = Weak.create 1 in
+  register_and_drop wheels payloads;
+  Gc.full_major ();
+  Gc.full_major ();
+  check Alcotest.bool "wheel collected" true (Weak.get wheels 0 = None);
+  check Alcotest.bool "alarm state collected" true (Weak.get payloads 0 = None)
+
 (* ------------------------------------------------------------------ *)
 (* Connection table                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -470,6 +499,10 @@ let tests =
           test_arm_cancel_alloc_free;
         Alcotest.test_case "one shared wheel per sim" `Quick
           test_shared_wheel_per_sim;
+        Alcotest.test_case "shared wheel stable past 16 sims" `Quick
+          test_shared_wheel_stable;
+        Alcotest.test_case "shared wheel released with its sim" `Quick
+          test_shared_wheel_weak;
       ] );
     ( "conn_table",
       [
